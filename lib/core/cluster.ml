@@ -24,6 +24,7 @@ type t = {
   cas : (string * Ca.t) list;
   context : Rule.fact list ref;
   domain_of : string -> string;
+  proof_tally : Proof_tally.t;
   prop_rng : Splitmix.t;
 }
 
@@ -69,6 +70,7 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
         fun () -> Latency.sample model rng)
       ocsp_latency
   in
+  let proof_tally = Proof_tally.create () in
   let participants =
     List.map
       (fun spec ->
@@ -84,16 +86,27 @@ let create ?(seed = 1L) ?(latency = Latency.lan) ?ocsp_latency ?(cas = [])
                  (Admin.latest admin)))
           admins;
         let participant =
-          Participant.create ~transport ~server ~env ~domain_of ?variant
-            ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
+          Participant.create ~transport ~server ~env ~domain_of ~proof_tally
+            ?variant ?ocsp_delay ?proof_cache ?dedup ?inquiry_timeout ()
         in
         (spec.s_name, participant))
       servers
   in
   let prop_rng = Transport.fork_rng transport in
-  { transport; master; participants; admins; cas; context; domain_of; prop_rng }
+  {
+    transport;
+    master;
+    participants;
+    admins;
+    cas;
+    context;
+    domain_of;
+    proof_tally;
+    prop_rng;
+  }
 
 let transport t = t.transport
+let proof_tally t = t.proof_tally
 let master t = t.master
 let participants t = List.map snd t.participants
 

@@ -56,6 +56,12 @@ val create :
   t
 
 val transport : t -> Message.t Transport.t
+
+(** Proof evaluations per in-flight transaction: the coordinator opens a
+    tally at submit and closes it at the outcome; the participants count
+    into it. *)
+val proof_tally : t -> Proof_tally.t
+
 val master : t -> Master.t
 val participants : t -> Participant.t list
 val participant : t -> string -> Participant.t

@@ -166,7 +166,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
   else begin
   d.finished <- true;
   let txn_id = d.txn_id in
-  let counters = Transport.counters (transport d) in
+  let proofs = Proof_tally.finish (Cluster.proof_tally d.cluster) ~txn:txn_id in
   let reg = registry d in
   let submitted_at = Tm.submitted_at d.machine in
   if Registry.enabled reg then begin
@@ -176,8 +176,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
       (("outcome", if committed then "commit" else "abort") :: labels);
     Registry.observe reg "txn_latency_ms" labels (finished_at -. submitted_at);
     Registry.observe reg "commit_rounds" labels (float_of_int commit_rounds);
-    Registry.observe reg "proofs_per_txn" labels
-      (float_of_int (Counter.get counters ("proofs:" ^ txn_id)));
+    Registry.observe reg "proofs_per_txn" labels (float_of_int proofs);
     if Float.is_finite d.commit_started_at then begin
       Registry.observe reg "phase_execute_ms" labels
         (d.commit_started_at -. submitted_at);
@@ -198,7 +197,7 @@ let finish d (cfg : config) ~committed ~reason ~commit_rounds =
       submitted_at;
       finished_at = now d;
       commit_rounds;
-      proofs_evaluated = Counter.get counters ("proofs:" ^ txn_id);
+      proofs_evaluated = proofs;
       view = Tm.view d.machine;
     }
   in
@@ -347,6 +346,7 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
         on_done o
   in
   let machine = Tm.create cfg txn ~submitted_at in
+  Proof_tally.start (Cluster.proof_tally cluster) ~txn:txn.Transaction.id;
   let d =
     {
       cluster;

@@ -50,6 +50,7 @@ type t = {
          the state actually lost. *)
   inquiry_timeout : float;
   waits : (string, wait) Hashtbl.t; (* txn -> open lock.wait *)
+  proof_tally : Proof_tally.t;
   mutable releases : (string option * Lock_manager.release) list;
       (* lock releases queued during action interpretation, FIFO; drained
          only after the current input is fully interpreted so decision
@@ -106,7 +107,7 @@ let evaluate_proof_fn t ~txn ~subject ~credentials (q : Query.t) =
   let policy = policy_for t domain in
   let counters = Transport.counters t.transport in
   Counter.incr counters "proofs";
-  Counter.incr counters ("proofs:" ^ txn);
+  Proof_tally.count t.proof_tally ~txn;
   mark t (Printf.sprintf "proof_eval:%s:%s" txn q.Query.id);
   let tr = tracer t in
   let span =
@@ -356,8 +357,9 @@ let handle t ~src msg =
   dispatch t (Ps.Deliver { src; msg });
   drain_releases t
 
-let create ~transport ~server ~env ~domain_of ?(variant = Tpc.Basic) ?ocsp_delay
-    ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.) () =
+let create ~transport ~server ~env ~domain_of ~proof_tally ?(variant = Tpc.Basic)
+    ?ocsp_delay ?(proof_cache = false) ?(dedup = true) ?(inquiry_timeout = 0.)
+    () =
   let t =
     {
       transport;
@@ -374,6 +376,7 @@ let create ~transport ~server ~env ~domain_of ?(variant = Tpc.Basic) ?ocsp_delay
       seen = Hashtbl.create 64;
       inquiry_timeout;
       waits = Hashtbl.create 8;
+      proof_tally;
       releases = [];
     }
   in

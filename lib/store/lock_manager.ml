@@ -115,8 +115,12 @@ type release = {
    order (no barging past an incompatible older waiter); then re-apply
    wait-die to the survivors — a waiter younger than a conflicting current
    holder would be a young-waits-for-old edge, which admits deadlock, so
-   it dies now. *)
-let promote key s granted killed =
+   it dies now.  A kill can unblock the queue: when the head dies, a
+   compatible waiter behind it may now be grantable, and nobody would
+   ever promote it again.  So repeat until a kill pass removes no one;
+   on return, the queue head (if any) is not grantable.  Each repeat
+   shrinks the queue, so this ends. *)
+let rec promote key s granted killed =
   let rec go () =
     match s.queue with
     | [] -> ()
@@ -153,7 +157,9 @@ let promote key s granted killed =
       false
     end
   in
-  s.queue <- List.filter survives s.queue
+  let waiting = List.length s.queue in
+  s.queue <- List.filter survives s.queue;
+  if List.length s.queue < waiting then promote key s granted killed
 
 let release_all t ~txn =
   let granted = ref [] in

@@ -11,8 +11,11 @@ type t = {
   cluster : Cluster.t;
   domain : string;
   subjects : string list;
+  subject_array : string array;
   credentials_of : string -> Credential.t list;
   servers : string list;
+  server_array : string array;
+  key_arrays : string array array;
   keys_of : string -> string list;
   ca : Ca.t;
 }
@@ -74,12 +77,17 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
     ?(items_per_server = 8) ?(n_subjects = 4) () =
   let domain = "retail" in
   let ca = Ca.create "corp-ca" in
-  let keys si = List.init items_per_server (fun ki -> key_name si ki) in
+  let server_array = Array.init n_servers server_name in
+  let key_arrays =
+    Array.init n_servers (fun si -> Array.init items_per_server (key_name si))
+  in
+  let key_lists = Array.map Array.to_list key_arrays in
   let specs =
     List.init n_servers (fun si ->
-        let items = List.map (fun k -> (k, Value.Int 100)) (keys si) in
-        let constraints = List.map Integrity.non_negative (keys si) in
-        Cluster.server_spec ~name:(server_name si) ~constraints ~items ())
+        let keys = key_lists.(si) in
+        let items = List.map (fun k -> (k, Value.Int 100)) keys in
+        let constraints = List.map Integrity.non_negative keys in
+        Cluster.server_spec ~name:server_array.(si) ~constraints ~items ())
   in
   let cluster =
     Cluster.create ~seed ~latency ?ocsp_latency ?proof_cache ?variant ?dedup
@@ -100,34 +108,40 @@ let retail ?(seed = 7L) ?(latency = Cloudtx_sim.Latency.lan) ?ocsp_latency
         (subject, [ cred ]))
       subjects
   in
-  let servers = List.init n_servers server_name in
-  let keys_of name =
-    let rec index i = function
-      | [] -> invalid_arg (Printf.sprintf "Scenario.keys_of: unknown server %s" name)
-      | s :: rest -> if String.equal s name then i else index (i + 1) rest
-    in
-    keys (index 0 servers)
-  in
+  let creds_by_subject = Hashtbl.create n_subjects in
+  List.iter (fun (subject, cs) -> Hashtbl.replace creds_by_subject subject cs) creds;
+  let keys_by_server = Hashtbl.create n_servers in
+  Array.iteri
+    (fun si name -> Hashtbl.replace keys_by_server name key_lists.(si))
+    server_array;
   {
     cluster;
     domain;
     subjects;
+    subject_array = Array.of_list subjects;
     credentials_of =
       (fun subject ->
-        match List.assoc_opt subject creds with
+        match Hashtbl.find_opt creds_by_subject subject with
         | Some cs -> cs
         | None -> invalid_arg (Printf.sprintf "Scenario: unknown subject %s" subject));
-    servers;
-    keys_of;
+    servers = Array.to_list server_array;
+    server_array;
+    key_arrays;
+    keys_of =
+      (fun name ->
+        match Hashtbl.find_opt keys_by_server name with
+        | Some keys -> keys
+        | None ->
+          invalid_arg (Printf.sprintf "Scenario.keys_of: unknown server %s" name));
     ca;
   }
 
 let spread_transaction t ~id ~subject ~queries ?(start = 0) ?(writes = true) () =
   if queries <= 0 then invalid_arg "Scenario.spread_transaction: queries <= 0";
-  let n = List.length t.servers in
+  let n = Array.length t.server_array in
   let qs =
     List.init queries (fun i ->
-        let server = List.nth t.servers ((start + i) mod n) in
+        let server = t.server_array.((start + i) mod n) in
         match t.keys_of server with
         | k1 :: k2 :: _ ->
           let write_list =

@@ -14,13 +14,26 @@ module Rule = Cloudtx_policy.Rule
 module Credential = Cloudtx_policy.Credential
 module Transaction = Cloudtx_txn.Transaction
 
+(** Built once by {!retail}: the name arrays, the per-server key arrays
+    and the lookup tables behind [keys_of] and [credentials_of] are
+    computed when the scenario is made, so reading them per transaction
+    costs no allocation and does not grow with the cluster.  The arrays
+    are shared, not copied: callers must not mutate them. *)
 type t = {
   cluster : Cluster.t;
   domain : string;
   subjects : string list;
+  subject_array : string array;  (** [subjects], as an array. *)
   credentials_of : string -> Credential.t list;
+      (** O(1); raises [Invalid_argument] for an unknown subject. *)
   servers : string list;
-  keys_of : string -> string list;  (** Items hosted per server. *)
+  server_array : string array;  (** [servers], as an array. *)
+  key_arrays : string array array;
+      (** [key_arrays.(i)]: the items hosted by [server_array.(i)]. *)
+  keys_of : string -> string list;
+      (** Items hosted per server: an O(1) lookup of a list stored at
+          construction (the same list on every call); raises
+          [Invalid_argument] for an unknown server. *)
   ca : Cloudtx_policy.Ca.t;
 }
 

@@ -111,6 +111,29 @@ let test_promotion_reapplies_wait_die () =
     (List.exists (fun (t, _) -> t = "mid") release.Lock_manager.killed);
   Alcotest.(check (list string)) "queue empty" [] (Lock_manager.waiters lm ~key:"k")
 
+let test_promotion_repeats_after_kill () =
+  (* holder h(10) X; queue a(2) S, b(5) X, c(7) S.  When h releases, a is
+     granted and b stops the grant loop; b is younger than a and dies.
+     c, behind b, shares the lock with a: it must be granted now, not left
+     queued with no release ahead to promote it. *)
+  let lm = Lock_manager.create () in
+  ignore (Lock_manager.acquire lm ~txn:"h" ~ts:10. ~key:"k" Lock_manager.Exclusive);
+  List.iter
+    (fun (txn, ts, mode) ->
+      Alcotest.(check bool) (txn ^ " queues") true
+        (Lock_manager.acquire lm ~txn ~ts ~key:"k" mode = Lock_manager.Queued))
+    [
+      ("a", 2., Lock_manager.Shared);
+      ("b", 5., Lock_manager.Exclusive);
+      ("c", 7., Lock_manager.Shared);
+    ];
+  let release = Lock_manager.release_all lm ~txn:"h" in
+  Alcotest.(check (list string)) "granted" [ "a"; "c" ]
+    (List.map (fun (t, _, _) -> t) release.Lock_manager.granted);
+  Alcotest.(check (list string)) "killed" [ "b" ]
+    (List.map fst release.Lock_manager.killed);
+  Alcotest.(check (list string)) "queue empty" [] (Lock_manager.waiters lm ~key:"k")
+
 let test_held_by_and_clear () =
   let lm = Lock_manager.create () in
   ignore (Lock_manager.acquire lm ~txn:"t" ~ts:1. ~key:"a" Lock_manager.Shared);
@@ -120,32 +143,64 @@ let test_held_by_and_clear () =
   Alcotest.(check (list string)) "cleared" [] (Lock_manager.held_by lm ~txn:"t")
 
 let prop_wait_die_no_deadlock =
-  (* Random lock workloads: every request resolves to Granted/Queued/Die,
-     and a queued transaction is always strictly older than some holder,
-     so the waits-for relation only points old->young: no cycles. *)
-  QCheck.Test.make ~name:"wait-die admits no old->young waits" ~count:200
+  (* Random lock workloads, acquires mixed with releases: every request
+     resolves to Granted/Queued/Die, and a queued transaction is always
+     strictly older than some holder, so the waits-for relation only
+     points old->young: no cycles.  And after every operation no queue
+     head could be granted: nobody waits for a lock that is free for it,
+     which would leave it queued with no release left to promote it. *)
+  QCheck.Test.make ~name:"wait-die admits no old->young waits" ~count:2000
     QCheck.(
       list_of_size Gen.(1 -- 40)
-        (triple (int_range 0 5) (int_range 0 4) bool))
+        (triple (int_range 0 5) (int_range 0 2) (int_range 0 2)))
     (fun ops ->
       let lm = Lock_manager.create () in
+      let keys = List.init 3 (Printf.sprintf "k%d") in
+      let ts_of txn = float_of_string (String.sub txn 1 (String.length txn - 1)) in
+      (* The mode of each queued (txn, key) request. *)
+      let requested = Hashtbl.create 16 in
+      let head_grantable key =
+        match Lock_manager.waiters lm ~key with
+        | [] -> false
+        | head :: _ -> (
+          let own, others =
+            List.partition
+              (fun (h, _) -> String.equal h head)
+              (Lock_manager.holders lm ~key)
+          in
+          match (own, Hashtbl.find requested (head, key)) with
+          | _ :: _, Lock_manager.Shared -> true
+          | _ :: _, Lock_manager.Exclusive | [], Lock_manager.Exclusive ->
+            others = []
+          | [], Lock_manager.Shared ->
+            List.for_all (fun (_, m) -> m = Lock_manager.Shared) others)
+      in
+      let settled () = not (List.exists head_grantable keys) in
       List.for_all
-        (fun (txn_i, key_i, exclusive) ->
+        (fun (txn_i, key_i, op) ->
           let txn = Printf.sprintf "t%d" txn_i in
           let ts = float_of_int txn_i in
           let key = Printf.sprintf "k%d" key_i in
-          let mode =
-            if exclusive then Lock_manager.Exclusive else Lock_manager.Shared
+          let waiting =
+            List.exists (fun k -> List.mem txn (Lock_manager.waiters lm ~key:k)) keys
           in
-          match Lock_manager.acquire lm ~txn ~ts ~key mode with
-          | Lock_manager.Granted | Lock_manager.Die -> true
-          | Lock_manager.Queued ->
-            (* Queued implies strictly older than every conflicting holder. *)
-            List.for_all
-              (fun (holder, _) ->
-                String.equal holder txn
-                || ts < float_of_string (String.sub holder 1 (String.length holder - 1)))
-              (Lock_manager.holders lm ~key))
+          if op = 2 then begin
+            ignore (Lock_manager.release_all lm ~txn);
+            settled ()
+          end
+          else if waiting then true (* blocked: it issues no request *)
+          else begin
+            let mode = if op = 1 then Lock_manager.Exclusive else Lock_manager.Shared in
+            match Lock_manager.acquire lm ~txn ~ts ~key mode with
+            | Lock_manager.Granted | Lock_manager.Die -> settled ()
+            | Lock_manager.Queued ->
+              Hashtbl.replace requested (txn, key) mode;
+              (* Queued implies strictly older than every conflicting holder. *)
+              List.for_all
+                (fun (holder, _) -> String.equal holder txn || ts < ts_of holder)
+                (Lock_manager.holders lm ~key)
+              && settled ()
+          end)
         ops)
 
 (* ------------------------------------------------------------------ *)
@@ -544,6 +599,8 @@ let () =
           Alcotest.test_case "upgrade" `Quick test_upgrade;
           Alcotest.test_case "promotion re-applies wait-die" `Quick
             test_promotion_reapplies_wait_die;
+          Alcotest.test_case "promotion repeats after a kill" `Quick
+            test_promotion_repeats_after_kill;
           Alcotest.test_case "held_by and clear" `Quick test_held_by_and_clear;
           qc prop_wait_die_no_deadlock;
         ] );

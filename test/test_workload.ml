@@ -110,6 +110,90 @@ let test_generator_validity () =
       t.Transaction.queries
   done
 
+(* Everything a generated transaction carries that the draws decide: ids,
+   subject, servers, keys and written values, in order. *)
+let transaction_fingerprint buf (t : Transaction.t) =
+  Printf.bprintf buf "%s %s\n" t.Transaction.id t.Transaction.subject;
+  List.iter
+    (fun (q : Query.t) ->
+      Printf.bprintf buf " %s@%s r=%s w=%s\n" q.Query.id q.Query.server
+        (String.concat "," q.Query.reads)
+        (String.concat ","
+           (List.map
+              (fun (k, u) ->
+                k ^ ":" ^ Format.asprintf "%a" Cloudtx_store.Value.pp_update u)
+              q.Query.writes)))
+    t.Transaction.queries
+
+let generated_digest ~servers ~zipf_s ~spread =
+  let s = Scenario.retail ~n_servers:servers ~items_per_server:20 ~n_subjects:5 () in
+  let rng = Splitmix.create 42L in
+  let params = { Generator.queries_per_txn = 4; write_ratio = 0.3; zipf_s; spread } in
+  let buf = Buffer.create 65536 in
+  for i = 1 to 500 do
+    transaction_fingerprint buf
+      (Generator.generate s rng params ~id:(Printf.sprintf "t%d" i))
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+(* Pinned from the generator as it stood before its per-scenario tables:
+   precomputing key arrays and Zipf tables must not change one draw. *)
+let test_generator_golden () =
+  List.iter
+    (fun (servers, zipf_s, spread, expected) ->
+      Alcotest.(check string)
+        (Printf.sprintf "servers=%d zipf=%g %s" servers zipf_s
+           (match spread with `Round_robin -> "round-robin" | `Random -> "random"))
+        expected
+        (generated_digest ~servers ~zipf_s ~spread))
+    [
+      (4, 0., `Round_robin, "7373c99d7c79430a371c7bfebfc6eead");
+      (4, 0., `Random, "1be06f6cd37ed8b3129f815cdd1ca397");
+      (4, 0.8, `Round_robin, "9f67ba02fe1b4d5cd88fcef827338cad");
+      (4, 0.8, `Random, "6128983a97731e91f445961d48c285e3");
+      (64, 0., `Round_robin, "22078368e412c1e51523af3c99f72d22");
+      (64, 0., `Random, "f8846e1c11cb4e079c02bdaf791bcfe7");
+      (64, 0.8, `Round_robin, "9784e7cad5d0144586d1dcf013dab3c1");
+      (64, 0.8, `Random, "ebf91d02f38329519737c7ed5df75063");
+    ]
+
+(* Minor-heap words per [generate] call, after one warm-up call. *)
+let words_per_generate ~servers =
+  let s = Scenario.retail ~n_servers:servers ~items_per_server:20 ~n_subjects:5 () in
+  let rng = Splitmix.create 7L in
+  let params = { Generator.default with zipf_s = 0.8 } in
+  ignore (Generator.generate s rng params ~id:"warm");
+  let n = 200 in
+  let before = Gc.minor_words () in
+  for i = 1 to n do
+    ignore (Generator.generate s rng params ~id:(Printf.sprintf "t%03d" i))
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The scenario's tables are built once; a transaction's cost depends on
+   the servers it touches, not on how many the cluster has. *)
+let test_generator_alloc_flat () =
+  let small = words_per_generate ~servers:4 in
+  let large = words_per_generate ~servers:64 in
+  Alcotest.(check bool)
+    (Printf.sprintf "64 servers: %.0f words/txn within 1.5x of 4 servers: %.0f" large
+       small)
+    true
+    (large <= 1.5 *. small)
+
+let test_keys_of_stored () =
+  let s = Scenario.retail ~n_servers:3 ~items_per_server:4 () in
+  let k = s.Scenario.keys_of "server-2" in
+  Alcotest.(check (list string)) "keys of server-2"
+    [ "s2-k1"; "s2-k2"; "s2-k3"; "s2-k4" ] k;
+  Alcotest.(check bool) "the stored list, not a fresh one" true
+    (k == s.Scenario.keys_of "server-2");
+  Alcotest.(check (array string)) "matches key_arrays"
+    s.Scenario.key_arrays.(1) (Array.of_list k);
+  Alcotest.check_raises "unknown server"
+    (Invalid_argument "Scenario.keys_of: unknown server server-9") (fun () ->
+      ignore (s.Scenario.keys_of "server-9"))
+
 let test_arrival_times () =
   let rng = Splitmix.create 3L in
   let times = Generator.arrival_times rng ~rate:0.1 ~horizon:1000. in
@@ -178,7 +262,9 @@ let test_run_sequential_stats () =
   Alcotest.(check (float 1e-9)) "u proofs each" 3.
     (Running_stats.mean stats.Experiment.proofs);
   Alcotest.(check bool) "messages tracked" true
-    (Running_stats.mean stats.Experiment.protocol_messages > 0.)
+    (Running_stats.mean stats.Experiment.protocol_messages > 0.);
+  Alcotest.(check int) "no proof tally left open" 0
+    (Cloudtx_core.Proof_tally.in_flight (Cluster.proof_tally s.Scenario.cluster))
 
 let test_run_open_concurrent () =
   let s = Scenario.retail ~n_servers:3 ~n_subjects:3 () in
@@ -203,7 +289,9 @@ let test_run_open_concurrent () =
       if not o.Outcome.committed then
         Alcotest.(check string) "aborts are wait-die" "wait-die"
           (Outcome.reason_name o.Outcome.reason))
-    stats.Experiment.outcomes
+    stats.Experiment.outcomes;
+  Alcotest.(check int) "no proof tally left open" 0
+    (Cloudtx_core.Proof_tally.in_flight (Cluster.proof_tally s.Scenario.cluster))
 
 let test_run_closed () =
   let s = Scenario.retail ~seed:9L ~n_servers:3 ~n_subjects:3 () in
@@ -248,6 +336,10 @@ let () =
           Alcotest.test_case "spread transaction" `Quick
             test_spread_transaction_shape;
           Alcotest.test_case "generator validity" `Quick test_generator_validity;
+          Alcotest.test_case "generator golden digests" `Quick test_generator_golden;
+          Alcotest.test_case "generator alloc flat in servers" `Quick
+            test_generator_alloc_flat;
+          Alcotest.test_case "keys_of stored" `Quick test_keys_of_stored;
           Alcotest.test_case "arrival times" `Quick test_arrival_times;
         ] );
       ( "churn",
