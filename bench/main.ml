@@ -369,6 +369,7 @@ let section_figure2 () =
     Scenario.retail ~latency:(Latency.Constant 1.) ~n_servers:2 ~n_subjects:1 ()
   in
   let cluster = scenario.Scenario.cluster in
+  let trace = Transport.enable_trace (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:2 ()
   in
@@ -376,7 +377,6 @@ let section_figure2 () =
     Manager.run_one cluster (Manager.config Scheme.Deferred Consistency.Global) txn
   in
   ignore outcome;
-  let trace = Transport.trace (Cluster.transport cluster) in
   List.iter
     (fun (time, src, dst, label) ->
       Printf.printf "  %7.2fms  %-14s -> %-14s  %s\n" time src dst label)
@@ -398,6 +398,7 @@ let section_figures_3_to_6 () =
           ~n_subjects:1 ()
       in
       let cluster = scenario.Scenario.cluster in
+      let trace = Transport.enable_trace (Cluster.transport cluster) in
       let txn =
         Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1"
           ~queries:3 ()
@@ -405,7 +406,6 @@ let section_figures_3_to_6 () =
       let outcome =
         Manager.run_one cluster (Manager.config scheme Consistency.View) txn
       in
-      let trace = Transport.trace (Cluster.transport cluster) in
       let t_start = outcome.Outcome.submitted_at in
       let t_end = outcome.Outcome.finished_at in
       let starts_with prefix s =
@@ -470,6 +470,7 @@ let section_figure7 () =
     Scenario.retail ~latency:(Latency.Constant 1.) ~n_servers:2 ~n_subjects:1 ()
   in
   let cluster = scenario.Scenario.cluster in
+  let trace = Transport.enable_trace (Cluster.transport cluster) in
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:2 ()
   in
@@ -478,7 +479,6 @@ let section_figure7 () =
     (Manager.run_one cluster
        (Manager.config Scheme.Incremental_punctual Consistency.View)
        txn);
-  let trace = Transport.trace (Cluster.transport cluster) in
   print_endline "  voting and decision phases on the wire:";
   List.iter
     (fun (time, src, dst, label) ->

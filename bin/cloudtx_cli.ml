@@ -634,8 +634,8 @@ let trace_cmd verbose scheme level servers queries format trace_out metrics_json
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries ()
   in
+  let trace = Transport.enable_trace (Cluster.transport cluster) in
   let outcome = Manager.run_one cluster (Manager.config scheme level) txn in
-  let trace = Transport.trace (Cluster.transport cluster) in
   (match format with
   | "text" ->
     Format.printf "%a@.@." Outcome.pp outcome;

@@ -38,6 +38,7 @@ let () =
   in
   let cluster = scenario.Cloudtx_workload.Scenario.cluster in
   let transport = Cluster.transport cluster in
+  ignore (Transport.enable_trace transport);
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:3 ()
   in
@@ -117,6 +118,7 @@ let run_coordinator_crash variant =
   in
   let cluster = scenario.Cloudtx_workload.Scenario.cluster in
   let transport = Cluster.transport cluster in
+  ignore (Transport.enable_trace transport);
   let txn =
     Scenario.spread_transaction scenario ~id:"t1" ~subject:"clerk-1" ~queries:3
       ()

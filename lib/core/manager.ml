@@ -375,8 +375,10 @@ let submit_handle ?ts ?(dedup = true) ?resilience cluster (cfg : config) txn
   in
   Transport.register_seq transport name (fun ~src ~seq msg ->
       if d.machine_dead then ()
-      else if d.dedup && Hashtbl.mem d.seen seq then
-        Transport.mark transport ~node:name ("dedup:" ^ Message.label msg)
+      else if d.dedup && Hashtbl.mem d.seen seq then begin
+        if Transport.marking transport then
+          Transport.mark transport ~node:name ("dedup:" ^ Message.label msg)
+      end
       else begin
         if d.dedup then Hashtbl.replace d.seen seq ();
         (* Measured request->first-reply RTT feeds the adaptive timeout

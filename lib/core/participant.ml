@@ -108,7 +108,8 @@ let evaluate_proof_fn t ~txn ~subject ~credentials (q : Query.t) =
   let counters = Transport.counters t.transport in
   Counter.incr counters "proofs";
   Proof_tally.count t.proof_tally ~txn;
-  mark t (Printf.sprintf "proof_eval:%s:%s" txn q.Query.id);
+  if Transport.marking t.transport then
+    mark t (Printf.sprintf "proof_eval:%s:%s" txn q.Query.id);
   let tr = tracer t in
   let span =
     if Tracer.enabled tr then begin
@@ -383,7 +384,7 @@ let create ~transport ~server ~env ~domain_of ~proof_tally ?(variant = Tpc.Basic
   Transport.register_seq transport (Server.name server) (fun ~src ~seq msg ->
       if t.dedup && Hashtbl.mem t.seen seq then begin
         Counter.incr (Transport.counters transport) "dedup_dropped";
-        mark t ("dedup:" ^ Message.label msg)
+        if Transport.marking transport then mark t ("dedup:" ^ Message.label msg)
       end
       else begin
         if t.dedup then Hashtbl.replace t.seen seq ();

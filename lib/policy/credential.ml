@@ -15,19 +15,37 @@ type t = {
   signature : string;
 }
 
-let payload ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
-  let kind_tag =
-    match kind with
-    | Attribute -> "attr"
-    | Access { action; item } -> Printf.sprintf "access:%s:%s" action item
+(* The signed text is [issuer ## id|subject|issuer|kind|alpha|omega|facts...],
+   built in one buffer: signatures are checked on every proof. *)
+let signed_text ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
+  let buf = Buffer.create 128 in
+  let field s =
+    Buffer.add_string buf s;
+    Buffer.add_char buf '|'
   in
-  let fact_tags = List.map Rule.atom_to_string facts in
-  String.concat "|"
-    (id :: subject :: issuer :: kind_tag
-     :: string_of_float issued_at :: string_of_float expires_at :: fact_tags)
+  Buffer.add_string buf issuer;
+  Buffer.add_string buf "##";
+  field id;
+  field subject;
+  field issuer;
+  (match kind with
+  | Attribute -> field "attr"
+  | Access { action; item } ->
+    Buffer.add_string buf "access:";
+    Buffer.add_string buf action;
+    Buffer.add_char buf ':';
+    field item);
+  field (string_of_float issued_at);
+  Buffer.add_string buf (string_of_float expires_at);
+  List.iter
+    (fun fact ->
+      Buffer.add_char buf '|';
+      Rule.add_atom buf fact)
+    facts;
+  Buffer.contents buf
 
 (* Simulated signature: issuer-keyed digest of the payload. *)
-let sign ~issuer body = Digest.to_hex (Digest.string (issuer ^ "##" ^ body))
+let sign text = Digest.to_hex (Digest.string text)
 
 let make ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
   if expires_at <= issued_at then
@@ -37,9 +55,8 @@ let make ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at =
       if not (Rule.is_ground f) then
         invalid_arg "Credential.make: facts must be ground")
     facts;
-  let body = payload ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at in
-  { id; subject; issuer; kind; facts; issued_at; expires_at;
-    signature = sign ~issuer body }
+  let text = signed_text ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at in
+  { id; subject; issuer; kind; facts; issued_at; expires_at; signature = sign text }
 
 let forge t ~facts = { t with facts }
 
@@ -49,11 +66,11 @@ let of_wire ~id ~subject ~issuer ~kind ~facts ~issued_at ~expires_at ~signature 
   { id; subject; issuer; kind; facts; issued_at; expires_at; signature }
 
 let signature_valid t =
-  let body =
-    payload ~id:t.id ~subject:t.subject ~issuer:t.issuer ~kind:t.kind
+  let text =
+    signed_text ~id:t.id ~subject:t.subject ~issuer:t.issuer ~kind:t.kind
       ~facts:t.facts ~issued_at:t.issued_at ~expires_at:t.expires_at
   in
-  String.equal t.signature (sign ~issuer:t.issuer body)
+  String.equal t.signature (sign text)
 
 type syntactic_failure = Not_yet_valid | Expired | Bad_signature
 

@@ -5,15 +5,30 @@
     proof of authorization: can the policy's rules derive the requested
     permission from the presented credentials?
 
-    The engine is naive bottom-up evaluation, quadratic in the number of
-    derivable facts — ample for access-control policies, whose rule sets are
-    small. *)
+    A rule set is compiled once into a {!program}: stratified, with its
+    predicates numbered and each rule turned into a join plan whose
+    variables are environment slots.  Evaluation is semi-naive: within a
+    stratum, every round after the first joins only the facts the previous
+    round derived.  A policy compiles its rules on first use and keeps the
+    program ({!Policy.permits_all}), so a proof costs the facts it joins. *)
 
 (** Derived fact database. *)
 type db
 
-(** [saturate ~rules ~facts] derives everything derivable. Raises
-    [Invalid_argument] if any base fact is non-ground. *)
+(** A compiled rule set. *)
+type program
+
+(** [compile rules] stratifies and plans [rules]. Raises
+    [Invalid_argument "Infer: rules are not stratifiable (negation
+    cycle)"] on recursion through negation. *)
+val compile : Rule.t list -> program
+
+(** [eval program ~facts] derives everything derivable from [facts].
+    Raises [Invalid_argument] if any fact is non-ground. *)
+val eval : program -> facts:Rule.fact list -> db
+
+(** [saturate ~rules ~facts] is [eval (compile rules) ~facts], except
+    that a non-ground base fact is reported before a negation cycle. *)
 val saturate : rules:Rule.t list -> facts:Rule.fact list -> db
 
 (** All facts (base and derived) in the database. *)

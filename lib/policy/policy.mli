@@ -13,11 +13,15 @@
 
 type version = int
 
+(** The policy's compiled rules, filled in by its first evaluation. *)
+type compiled
+
 type t = private {
   domain : string;  (** Administrative domain A. *)
   version : version;
   rules : Rule.t list;
   accept_capabilities : bool;
+  compiled : compiled;
 }
 
 (** [create ~domain rules] is version 1 of the domain's policy. *)
@@ -41,12 +45,15 @@ val capability_fact : subject:string -> action:string -> item:string -> Rule.fac
 val effective_rules : t -> Rule.t list
 
 (** [permits t ~facts ~subject ~action ~item] — single saturation, single
-    goal. *)
+    goal.  Like {!permits_all}, it compiles the policy's rules on its first
+    call (raising [Invalid_argument] on a negation cycle) and reuses them. *)
 val permits :
   t -> facts:Rule.fact list -> subject:string -> action:string -> item:string -> bool
 
 (** [permits_all t ~facts ~subject ~action ~items] checks every item
-    against one saturation; returns the items denied (empty = granted). *)
+    against one saturation; returns the items denied (empty = granted).
+    The first evaluation of a policy value compiles {!effective_rules}
+    ({!Infer.compile}); later ones reuse the program. *)
 val permits_all :
   t ->
   facts:Rule.fact list ->

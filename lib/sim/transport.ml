@@ -11,6 +11,7 @@ type 'msg t = {
   crashed : (string, unit) Hashtbl.t;
   rng : Splitmix.t;
   mutable next_seq : int;
+  mutable trace_on : bool;  (* [trace] records only once enabled *)
   mutable tracer : Obs.Tracer.t;
   mutable registry : Obs.Registry.t;
   mutable journal : Obs.Journal.t;
@@ -30,6 +31,7 @@ let create ?(seed = 42L) ?(latency = Latency.lan) ?(drop = 0.) ~label_of () =
     crashed = Hashtbl.create 4;
     rng;
     next_seq = 0;
+    trace_on = false;
     tracer = Obs.Tracer.noop;
     registry = Obs.Registry.noop;
     journal = Obs.Journal.noop;
@@ -45,6 +47,12 @@ let registry t = t.registry
 let journal t = t.journal
 let now t = Engine.now t.engine
 let fork_rng t = Splitmix.split t.rng
+
+let enable_trace t =
+  t.trace_on <- true;
+  t.trace
+
+let marking t = t.trace_on || Obs.Tracer.enabled t.tracer
 
 let enable_tracing t =
   if not (Obs.Tracer.enabled t.tracer) then
@@ -114,22 +122,25 @@ let span_net t ~event ~src ~dst label =
       ~attrs:[ ("peer", dst); ("label", label) ]
       event
 
+(* Callers check [trace_on] first, so an off trace allocates no entry. *)
+let record t kind = Trace.record t.trace ~time:(now t) kind
+
 let send t ~src ~dst msg =
   let label = t.label_of msg in
   Counter.incr t.counters "messages";
   Counter.incr t.counters ("msg:" ^ label);
   if Obs.Registry.enabled t.registry then
     Obs.Registry.incr t.registry "messages_total" [ ("type", label) ];
-  Trace.record t.trace ~time:(now t) (Trace.Send { src; dst; label });
+  if t.trace_on then record t (Trace.Send { src; dst; label });
   span_net t ~event:"send" ~src ~dst label;
   match Hashtbl.find_opt t.handlers dst with
   | None ->
-    Trace.record t.trace ~time:(now t) (Trace.Drop { src; dst; label });
+    if t.trace_on then record t (Trace.Drop { src; dst; label });
     span_net t ~event:"drop" ~src ~dst label
   | Some _ -> (
     match Network.fate t.network ~src ~dst with
     | `Lost ->
-      Trace.record t.trace ~time:(now t) (Trace.Drop { src; dst; label });
+      if t.trace_on then record t (Trace.Drop { src; dst; label });
       span_net t ~event:"drop" ~src ~dst label
     | `Deliver_each delays ->
       (* Every copy of this logical send shares one wire seq, so receivers
@@ -142,20 +153,18 @@ let send t ~src ~dst msg =
           Engine.schedule t.engine ~delay (fun () ->
               match Hashtbl.find_opt t.handlers dst with
               | Some handler when not (Hashtbl.mem t.crashed dst) ->
-                Trace.record t.trace ~time:(now t)
-                  (Trace.Recv { src; dst; label });
+                if t.trace_on then record t (Trace.Recv { src; dst; label });
                 span_net t ~event:"recv" ~src:dst ~dst:src label;
                 handler ~src ~seq msg
               | _ ->
-                Trace.record t.trace ~time:(now t)
-                  (Trace.Drop { src; dst; label });
+                if t.trace_on then record t (Trace.Drop { src; dst; label });
                 span_net t ~event:"drop" ~src ~dst label))
         delays)
 
 let at t ~delay f = Engine.schedule t.engine ~delay f
 
 let mark t ~node label =
-  Trace.record t.trace ~time:(now t) (Trace.Mark { node; label });
+  if t.trace_on then record t (Trace.Mark { node; label });
   if Obs.Tracer.enabled t.tracer then
     Obs.Tracer.instant t.tracer ~track:node label
 

@@ -2,9 +2,9 @@
 
     A ['msg Transport.t] owns the engine, network model and trace for one
     simulated cluster.  Nodes register a handler under their name; [send]
-    consults the network model, records the trace entries, counts the
-    message (the unit of the paper's message-complexity metric) and
-    schedules the receiver's handler.
+    consults the network model, counts the message (the unit of the
+    paper's message-complexity metric), records trace entries when the
+    trace is on, and schedules the receiver's handler.
 
     Crashed nodes silently swallow traffic, modelling fail-stop servers for
     the recovery experiments. *)
@@ -24,7 +24,20 @@ val create :
 
 val engine : _ t -> Engine.t
 val network : _ t -> Network.t
+
+(** The fabric's wire trace; it stays empty until {!enable_trace}. *)
 val trace : _ t -> Trace.t
+
+(** [enable_trace t] turns on (once) and returns the wire trace: every
+    [send], delivery, drop and [mark] from then on is appended to it.
+    Off by default, so a long run keeps no per-message history unless a
+    figure or a trace dump asks for one. *)
+val enable_trace : _ t -> Trace.t
+
+(** Does a [mark] label reach anything, i.e. is the trace or the tracer
+    on?  A caller that builds a label only to mark it checks this first. *)
+val marking : _ t -> bool
+
 val counters : _ t -> Cloudtx_metrics.Counter.t
 
 (** The fabric's span tracer; {!Cloudtx_obs.Tracer.noop} until
@@ -117,7 +130,8 @@ val send : 'msg t -> src:string -> dst:string -> 'msg -> unit
 (** [at t ~delay f] schedules local work (not a message, not counted). *)
 val at : _ t -> delay:float -> (unit -> unit) -> unit
 
-(** [mark t ~node label] records a protocol annotation in the trace. *)
+(** [mark t ~node label] records a protocol annotation in the trace and
+    the tracer, whichever are on. *)
 val mark : _ t -> node:string -> string -> unit
 
 (** Run the engine (see {!Engine.run}). *)

@@ -14,9 +14,29 @@ type t = {
   replica : Replica.t;
   locks : Lock_manager.t;
   wal : Wal.t;
-  constraints : Integrity.t list;
+  constraints : Integrity.t array;
+  violated : bool array;
+      (* [violated.(i)]: the committed data violates [constraints.(i)].
+         Kept in step with [data]: computed at create and recover, and
+         recomputed at each commit for the constraints its writes may
+         change.  A vote then checks only the constraints its own writes
+         may change. *)
   workspaces : (string, workspace) Hashtbl.t;
 }
+
+let get t key = Hashtbl.find_opt t.data key
+
+let refresh_violations t ~written =
+  let committed = get t in
+  for i = 0 to Array.length t.constraints - 1 do
+    let c = t.constraints.(i) in
+    if Integrity.may_read c written then
+      t.violated.(i) <- not (Integrity.check c committed)
+  done
+
+let rec writes_key key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || writes_key key rest
 
 let create ~name ?(constraints = []) ~items () =
   let data = Hashtbl.create 64 in
@@ -26,22 +46,27 @@ let create ~name ?(constraints = []) ~items () =
       Hashtbl.replace data k v;
       Hashtbl.replace versions k [ (0., Some v) ])
     items;
-  {
-    name;
-    data;
-    versions;
-    replica = Replica.create ();
-    locks = Lock_manager.create ();
-    wal = Wal.create ();
-    constraints;
-    workspaces = Hashtbl.create 16;
-  }
+  let constraints = Array.of_list constraints in
+  let t =
+    {
+      name;
+      data;
+      versions;
+      replica = Replica.create ();
+      locks = Lock_manager.create ();
+      wal = Wal.create ();
+      constraints;
+      violated = Array.make (Array.length constraints) false;
+      workspaces = Hashtbl.create 16;
+    }
+  in
+  refresh_violations t ~written:(fun _ -> true);
+  t
 
 let name t = t.name
 let replica t = t.replica
 let wal t = t.wal
 let locks t = t.locks
-let get t key = Hashtbl.find_opt t.data key
 let hosts t key = Hashtbl.mem t.versions key
 
 let read_asof t key ~ts =
@@ -134,8 +159,26 @@ let execute t ~txn ~reads ~writes =
     Executed (List.map (fun k -> (k, overlay t ~txn k)) reads)
   end
 
+(* Same names in the same order as [Integrity.check_all] over every
+   constraint: one that reads no key the workspace writes sees the
+   committed value at each key it reads, so its verdict is [violated]. *)
 let integrity_violations t ~txn =
-  Integrity.check_all t.constraints (overlay t ~txn)
+  let lookup = overlay t ~txn in
+  let written =
+    match Hashtbl.find_opt t.workspaces txn with
+    | Some { writes = _ :: _ as writes; _ } -> fun key -> writes_key key writes
+    | Some { writes = []; _ } | None -> fun _ -> false
+  in
+  let names = ref [] in
+  for i = Array.length t.constraints - 1 downto 0 do
+    let c = t.constraints.(i) in
+    let violated =
+      if Integrity.may_read c written then not (Integrity.check c lookup)
+      else t.violated.(i)
+    in
+    if violated then names := Integrity.name c :: !names
+  done;
+  !names
 
 (* Keys the workspace touches, in first-write order, with their resolved
    post-transaction values (unresolvable updates drop the key). *)
@@ -176,14 +219,17 @@ let record_version t ~time k v =
 
 let settle t ~txn ~time ~forced ~commit =
   ignore (Wal.append t.wal ~time ~forced (Wal.Decision { txn; commit }));
-  (if commit && Hashtbl.mem t.workspaces txn then
+  (if commit && Hashtbl.mem t.workspaces txn then begin
+     let writes = resolved_writes t ~txn in
      List.iter
        (fun (k, v) ->
          record_version t ~time k v;
          match v with
          | Some v -> Hashtbl.replace t.data k v
          | None -> Hashtbl.remove t.data k)
-       (resolved_writes t ~txn));
+       writes;
+     refresh_violations t ~written:(fun key -> writes_key key writes)
+   end);
   Hashtbl.remove t.workspaces txn;
   Lock_manager.release_all t.locks ~txn
 
@@ -257,4 +303,5 @@ let recover t ~time =
         ignore (Wal.append t.wal ~time ~forced:false (Wal.End_txn { txn }))
       | `No_trace | `Active | `Aborted | `Finished -> ())
     seen;
+  refresh_violations t ~written:(fun _ -> true);
   List.sort String.compare !in_doubt

@@ -78,7 +78,11 @@ val execute :
 val overlay : t -> txn:string -> Integrity.lookup
 
 (** Violated-constraint names for [txn]'s hypothetical state (empty = the
-    participant can vote YES). *)
+    participant can vote YES), in the order the constraints were given.
+    Only constraints that may read a key [txn] writes (and those built by
+    {!Integrity.make}) are checked against the overlay; the rest report
+    what the committed data says, which the server keeps up to date at
+    every commit and recovery. *)
 val integrity_violations : t -> txn:string -> string list
 
 (** [prepare t ~txn ~time ~proof_truth ~policy_versions] computes the

@@ -302,9 +302,13 @@ let test_network_defaults_identical_draws () =
 (* ------------------------------------------------------------------ *)
 
 let make_transport () =
-  Transport.create ~seed:11L ~latency:(Latency.Constant 1.)
-    ~label_of:(fun s -> s)
-    ()
+  let t =
+    Transport.create ~seed:11L ~latency:(Latency.Constant 1.)
+      ~label_of:(fun s -> s)
+      ()
+  in
+  ignore (Transport.enable_trace t);
+  t
 
 let test_transport_delivery () =
   let t = make_transport () in
@@ -406,10 +410,29 @@ let test_trace_exporters () =
          n > 0 && String.contains l '"')
        lines)
 
+let test_trace_off_by_default () =
+  let t = Transport.create ~seed:11L ~label_of:Fun.id () in
+  Transport.register t "a" (fun ~src:_ _ -> ());
+  Transport.register t "b" (fun ~src:_ _ -> ());
+  Alcotest.(check bool) "nothing consumes marks" false (Transport.marking t);
+  Transport.mark t ~node:"a" "begin";
+  Transport.send t ~src:"a" ~dst:"b" "ping";
+  Transport.send t ~src:"a" ~dst:"ghost" "lost";
+  ignore (Transport.run t);
+  Alcotest.(check int) "nothing recorded" 0 (Trace.length (Transport.trace t));
+  Alcotest.(check int) "messages still counted" 2
+    (Cloudtx_metrics.Counter.get (Transport.counters t) "messages");
+  let trace = Transport.enable_trace t in
+  Alcotest.(check bool) "marks consumed" true (Transport.marking t);
+  Transport.send t ~src:"a" ~dst:"b" "ping";
+  ignore (Transport.run t);
+  Alcotest.(check int) "send and delivery recorded" 2 (Trace.length trace)
+
 let test_deterministic_replay () =
   (* Two transports with the same seed produce identical traces. *)
   let run () =
     let t = Transport.create ~seed:77L ~latency:Latency.lan ~label_of:Fun.id () in
+    ignore (Transport.enable_trace t);
     Transport.register t "a" (fun ~src:_ _ -> ());
     Transport.register t "b" (fun ~src:_ _ -> ());
     for i = 1 to 20 do
@@ -475,5 +498,7 @@ let () =
           Alcotest.test_case "trace exporters" `Quick test_trace_exporters;
           Alcotest.test_case "deterministic replay" `Quick
             test_deterministic_replay;
+          Alcotest.test_case "trace off by default" `Quick
+            test_trace_off_by_default;
         ] );
     ]

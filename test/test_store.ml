@@ -584,6 +584,136 @@ let test_server_crash_loses_unforced_tail () =
     | `Prepared _ -> true
     | _ -> false)
 
+(* ------------------------------------------------------------------ *)
+(* Write-set integrity votes                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* A server checks only the constraints a transaction's writes may change
+   and answers the rest from the committed state, which it keeps up to
+   date.  Whatever the constraints, the opening state and the history of
+   commits, aborts and crashes, that must give exactly the names
+   [Integrity.check_all] gives over every constraint. *)
+
+type ending = Commit | Abort | Crash_then of bool  (* commit after recovery? *)
+
+let integrity_keys = [ "a"; "b"; "c"; "d" ]
+
+let gen_integrity_case =
+  let open QCheck.Gen in
+  let value =
+    frequency
+      [ (5, map (fun n -> Value.Int n) (int_range (-3) 10)); (1, return (Value.Text "t")) ]
+  in
+  let key = oneofl integrity_keys in
+  let keys = list_size (1 -- 3) key in
+  let constraint_ =
+    oneof
+      [
+        map Integrity.non_negative (oneofl ("unhosted" :: integrity_keys));
+        map3 (fun k lo w -> Integrity.range k ~lo ~hi:(lo + w)) key (int_range (-2) 6) (0 -- 6);
+        map2 (fun ks bound -> Integrity.sum_at_most ks ~bound) keys (0 -- 25);
+        map2 (fun ks total -> Integrity.sum_preserved ks ~total) keys (0 -- 25);
+        map
+          (fun k ->
+            Integrity.make ~name:("even(" ^ k ^ ")") (fun lookup ->
+                match lookup k with Some (Value.Int n) -> n mod 2 = 0 | _ -> false))
+          key;
+      ]
+  in
+  let update =
+    frequency
+      [ (2, map (fun v -> Value.Set v) value); (3, map (fun n -> Value.Add n) (int_range (-6) 6)) ]
+  in
+  let ending =
+    frequency [ (3, return Commit); (1, return Abort); (1, map (fun c -> Crash_then c) bool) ]
+  in
+  let step = pair (list_size (0 -- 3) (pair key update)) ending in
+  triple
+    (list_repeat (List.length integrity_keys) value)
+    (list_size (1 -- 8) constraint_)
+    (list_size (1 -- 8) step)
+
+let print_integrity_case (values, constraints, steps) =
+  Printf.sprintf "items %s; constraints %s; steps %s"
+    (String.concat "," (List.map Value.to_string values))
+    (String.concat "," (List.map Integrity.name constraints))
+    (String.concat "; "
+       (List.map
+          (fun (writes, ending) ->
+            String.concat ","
+              (List.map (fun (k, u) -> Format.asprintf "%s %a" k Value.pp_update u) writes)
+            ^
+            match ending with
+            | Commit -> " commit"
+            | Abort -> " abort"
+            | Crash_then c -> if c then " crash+commit" else " crash+abort")
+          steps))
+
+let prop_integrity_write_set_equivalence =
+  QCheck.Test.make ~name:"write-set integrity votes = checking every constraint"
+    ~count:500
+    (QCheck.make ~print:print_integrity_case gen_integrity_case)
+    (fun (values, constraints, steps) ->
+      let s =
+        Server.create ~name:"s" ~constraints ~items:(List.combine integrity_keys values) ()
+      in
+      let agree ~txn what =
+        let expected = Integrity.check_all constraints (Server.overlay s ~txn) in
+        let got = Server.integrity_violations s ~txn in
+        if got <> expected then
+          QCheck.Test.fail_reportf "%s: got [%s], expected [%s]" what
+            (String.concat "," got) (String.concat "," expected)
+      in
+      agree ~txn:"idle" "opening state";
+      List.iteri
+        (fun i (writes, ending) ->
+          let txn = Printf.sprintf "t%d" i and time = float_of_int (10 * i) in
+          Server.begin_work s ~txn ~ts:time ~time;
+          (match Server.execute s ~txn ~reads:[] ~writes with
+          | Server.Executed _ -> ()
+          | Server.Blocked | Server.Die -> QCheck.Test.fail_report "lock conflict");
+          agree ~txn "workspace";
+          agree ~txn:"idle" "committed state beside a workspace";
+          let expected_vote = Integrity.check_all constraints (Server.overlay s ~txn) = [] in
+          let expected_writes =
+            List.filter_map
+              (fun k ->
+                if List.mem_assoc k writes then
+                  Option.map (fun v -> (k, v)) (Server.overlay s ~txn k)
+                else None)
+              (List.sort_uniq String.compare (List.map fst writes))
+          in
+          let vote = Server.prepare s ~txn ~time:(time +. 1.) ~proof_truth:true ~policy_versions:[] in
+          if vote <> expected_vote then QCheck.Test.fail_report "prepare vote";
+          (match List.rev (Wal.entries (Server.wal s)) with
+          | { Wal.record = Wal.Prepared p; _ } :: _ ->
+            if p.integrity_vote <> expected_vote then
+              QCheck.Test.fail_report "WAL integrity vote";
+            if List.sort compare p.writes <> expected_writes then
+              QCheck.Test.fail_report "WAL writes"
+          | _ -> QCheck.Test.fail_report "no Prepared record");
+          let decide commit =
+            ignore
+              (if commit then Server.commit s ~txn ~time:(time +. 3.)
+               else Server.abort s ~txn ~time:(time +. 3.))
+          in
+          (match ending with
+          | Commit -> decide true
+          | Abort -> decide false
+          | Crash_then commit ->
+            Server.crash s;
+            if Server.recover s ~time:(time +. 2.) <> [ txn ] then
+              QCheck.Test.fail_report "not in doubt after recovery";
+            agree ~txn "recovered workspace";
+            decide commit);
+          agree ~txn:"idle" "after the decision")
+        steps;
+      (* A crash with nothing in doubt recovers the same verdicts. *)
+      Server.crash s;
+      ignore (Server.recover s ~time:1e6);
+      agree ~txn:"idle" "after a clean recovery";
+      true)
+
 let () =
   let qc = QCheck_alcotest.to_alcotest in
   Alcotest.run "store"
@@ -608,6 +738,7 @@ let () =
         [
           Alcotest.test_case "combinators" `Quick test_integrity_combinators;
           Alcotest.test_case "sums" `Quick test_integrity_sums;
+          qc prop_integrity_write_set_equivalence;
         ] );
       ( "wal",
         [
